@@ -9,7 +9,8 @@
 //     wide-fanout, diamond, and mixed dependency shapes.
 //   - Pattern runs: columns of shift-identical formulas drained through
 //     the run-vectorized wavefront (one interned bytecode program swept
-//     across contiguous rows) versus per-cell AST evaluation.
+//     across contiguous rows, range folds memoised across the run) versus
+//     per-cell AST evaluation.
 //
 // Usage:
 //
@@ -367,6 +368,10 @@ func patternShapes() []patternShape {
 	bumpF1 := func(e *engine.Engine, v float64) {
 		e.SetValue(f1, formula.Num(v))
 	}
+	a1 := ref.Ref{Col: 1, Row: 1}
+	bumpA1 := func(e *engine.Engine, v float64) {
+		e.SetValue(a1, formula.Num(v))
+	}
 	return []patternShape{
 		{
 			// The canonical column drain from the compressed graph's
@@ -409,6 +414,39 @@ func patternShapes() []patternShape {
 				}
 			},
 			dirty: bumpF1,
+		},
+		{
+			// A running total, the paper's FR pattern (fixed head, relative
+			// tail). Editing A1 dirties the whole column; per cell, row n
+			// folds n cells, O(n²) for the column, while the run drain's
+			// fold memo continues one fold down the rows, O(n). The floor
+			// is algorithmic, so it binds on any host.
+			name:       "pattern_running_total",
+			minSpeedup: 10,
+			rows:       10_000,
+			build: func(e *engine.Engine, rows int) {
+				for r := 1; r <= rows; r++ {
+					e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r%101)/4))
+					mustSetFormula(e, ref.Ref{Col: 3, Row: r}, fmt.Sprintf("SUM($A$1:A%d)", r))
+				}
+			},
+			dirty: bumpA1,
+		},
+		{
+			// A fixed range fanned out to every row, the paper's FF pattern:
+			// one 2000-cell fold per row per cell, folded once per run by
+			// the memo.
+			name:       "fixed_range_fanout",
+			minSpeedup: 10,
+			rows:       8_000,
+			build: func(e *engine.Engine, rows int) {
+				for r := 1; r <= rows; r++ {
+					e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r%89)/8))
+					e.SetValue(ref.Ref{Col: 2, Row: r}, formula.Num(float64(r%7)+0.5))
+					mustSetFormula(e, ref.Ref{Col: 3, Row: r}, fmt.Sprintf("SUM($A$1:$A$2000)*B%d", r))
+				}
+			},
+			dirty: bumpA1,
 		},
 	}
 }

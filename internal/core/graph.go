@@ -154,11 +154,13 @@ func (g *Graph) deleteEdge(e *Edge) {
 	g.noteDelete(e)
 }
 
-// candidate is one valid way to compress an inserted dependency.
+// candidate is one valid way to compress an inserted dependency. off is the
+// step from the inserted cell to old's dependent run.
 type candidate struct {
 	merged *Edge
 	old    *Edge
 	axis   ref.Axis
+	off    ref.Offset
 }
 
 // AddDependency inserts one dependency into the compressed graph, greedily
@@ -170,11 +172,48 @@ func (g *Graph) AddDependency(d Dependency) bool {
 	if len(cands) > 0 {
 		best := g.selectCandidate(cands, d)
 		g.deleteEdge(best.old)
-		g.insertEdge(best.merged)
+		g.insertEdge(g.joinOpposite(best, d))
 		return true
 	}
 	g.insertEdge(singleEdge(d))
 	return false
+}
+
+// joinOpposite closes the gap an update leaves in a compressed run. Clearing
+// a cell inside a run splits its edge in two (or leaves a Single at a run
+// end); re-adding the same formula merges into one side only, so without
+// this step every identical rewrite would fragment the run for good. The
+// edge beyond the inserted cell, on the side opposite the one merged into,
+// is absorbed when it continues the merged run exactly: a compressed edge
+// with the same pattern, axis and metadata (its dependents and precedents
+// then simply union), or a Single whose dependency the merged pattern
+// accepts.
+func (g *Graph) joinOpposite(best candidate, d Dependency) *Edge {
+	merged := best.merged
+	beyond := ref.CellRange(d.Dep.Add(neg(best.off)))
+	if !beyond.Head.Valid() {
+		return merged
+	}
+	var absorbed *Edge
+	g.byDep.Search(beyond, func(_ ref.Range, e *Edge) bool {
+		if e.Pattern == Single {
+			sd := Dependency{Prec: e.Prec, Dep: e.Dep.Head, HeadFixed: e.HeadFixed, TailFixed: e.TailFixed}
+			if j := AddDep(merged, sd, merged.Pattern, merged.Axis); j != nil && g.allowed(j) {
+				absorbed, merged = e, j
+			}
+		} else if e.Pattern == merged.Pattern && e.Axis == merged.Axis && e.Meta == merged.Meta &&
+			merged.Dep.Adjacent(e.Dep, merged.Axis) {
+			absorbed = e
+			u := *merged
+			u.Prec, u.Dep = merged.Prec.Bound(e.Prec), merged.Dep.Bound(e.Dep)
+			merged = &u
+		}
+		return absorbed == nil
+	})
+	if absorbed != nil {
+		g.deleteEdge(absorbed)
+	}
+	return merged
 }
 
 // findCandidates shifts the inserted formula cell one step in all four
@@ -204,7 +243,7 @@ func (g *Graph) findCandidates(d Dependency) []candidate {
 			}
 			seen[e] = struct{}{}
 			for _, merged := range g.genCompEdges(e, d, pr.axis) {
-				cands = append(cands, candidate{merged: merged, old: e, axis: pr.axis})
+				cands = append(cands, candidate{merged: merged, old: e, axis: pr.axis, off: pr.off})
 			}
 			return true
 		})
@@ -383,12 +422,12 @@ func (g *Graph) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan re
 
 // PatternRunSpans reports, for every compressed (non-Single) edge whose
 // dependent run intersects r, the intersection and the edge's pattern type.
-// This is the compression-for-speed seam the vectorized evaluator reads: a
-// compressed dependent run is exactly a set of cells sharing one formula
-// shape modulo relative offsets, so the engine can restrict its pattern-run
-// detection to these spans instead of fingerprinting every dirty cell.
-// Spans from different edges may overlap; fn returning false stops the
-// enumeration. Single edges carry no sharing evidence and are skipped.
+// A compressed dependent run is exactly a set of cells sharing one formula
+// shape modulo relative offsets, so this answers which cells of r the graph
+// holds as pattern runs (diagnostics and tracing; the engine detects its
+// runs from interned programs). Spans from different edges may overlap; fn
+// returning false stops the enumeration. Single edges carry no sharing
+// evidence and are skipped.
 func (g *Graph) PatternRunSpans(r ref.Range, fn func(span ref.Range, p PatternType) bool) {
 	g.byDep.Search(r, func(_ ref.Range, e *Edge) bool {
 		if e.Pattern == Single {

@@ -268,10 +268,20 @@ func (a *foldAcc) add(at ref.Ref, c *cell) {
 // never reassociates float expressions), so the sum is bit-identical to
 // per-cell iteration.
 func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (formula.NumericFold, bool) {
+	return s.foldFrom(formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, rng, dirtyVal)
+}
+
+// foldFrom continues seed over rng's cells, exactly as if the cells seed
+// summarises had been visited first. Row-major order puts every cell of the
+// rows above rng.Head.Row before rng's own, so seeding a fold of rows 1..k
+// and continuing over rows k+1..n (same columns) is bit-identical to a fresh
+// fold of rows 1..n: the sum stays one sequential chain, the strict extremum
+// comparisons and the first error see the cells in the same order.
+func (s *colStore) foldFrom(seed formula.NumericFold, rng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (formula.NumericFold, bool) {
 	if rng.Head.Col != rng.Tail.Col {
-		return s.foldRect(rng, dirtyVal)
+		return s.foldRect(seed, rng, dirtyVal)
 	}
-	acc := foldAcc{f: formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, dirtyVal: dirtyVal}
+	acc := foldAcc{f: seed, dirtyVal: dirtyVal}
 	col := s.cols[rng.Head.Col]
 	if col == nil {
 		return acc.f, true
@@ -365,13 +375,13 @@ func (s *colStore) loadCursors(rng ref.Range, curs *[maxFoldCols]foldCursor) (n 
 // ties resolve to the lowest column because cursors are stored in column
 // order and the comparison is strict — which reproduces the streaming
 // scan's row-major visit order exactly, so Sum/Err match bit-for-bit.
-func (s *colStore) foldRect(rng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (formula.NumericFold, bool) {
+func (s *colStore) foldRect(seed formula.NumericFold, rng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (formula.NumericFold, bool) {
 	var curs [maxFoldCols]foldCursor
 	n, ok := s.loadCursors(rng, &curs)
 	if !ok {
 		return formula.NumericFold{}, false
 	}
-	acc := foldAcc{f: formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, dirtyVal: dirtyVal}
+	acc := foldAcc{f: seed, dirtyVal: dirtyVal}
 	for {
 		best := -1
 		for k := 0; k < n; k++ {

@@ -58,12 +58,6 @@ func (t TACO) DirectPrecedents(r ref.Range, fn func(ref.Range) bool) {
 	t.G.DirectPrecedents(r, fn)
 }
 
-// PatternRunSpans implements patternSpanner: the compressed edges' dependent
-// runs, the graph's own evidence of formula-shape sharing (see runs.go).
-func (t TACO) PatternRunSpans(r ref.Range, fn func(span ref.Range, p core.PatternType) bool) {
-	t.G.PatternRunSpans(r, fn)
-}
-
 // DirectPrecedentsEach implements batchPrecedenter: per-dependent-cell
 // precedent windows for a whole contiguous segment, one compressed-index
 // search instead of one per cell.
@@ -89,15 +83,6 @@ func (n NoComp) Precedents(r ref.Range) []ref.Range { return n.G.FindPrecedents(
 // DirectPrecedents implements directPrecedenter.
 func (n NoComp) DirectPrecedents(r ref.Range, fn func(ref.Range) bool) {
 	n.G.DirectPrecedents(r, fn)
-}
-
-// patternSpanner is the optional Graph extension the vectorized run drain
-// prefers: graphs that track pattern compression (TACO) report which cell
-// spans their compressed edges cover, letting run detection skip cells no
-// edge claims share a shape. Graphs without it (NoComp) fall back to purely
-// structural detection — interned-program equality over contiguous rows.
-type patternSpanner interface {
-	PatternRunSpans(r ref.Range, fn func(span ref.Range, p core.PatternType) bool)
 }
 
 // directPrecedenter is the optional Graph extension the wavefront scheduler

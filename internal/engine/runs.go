@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"taco/internal/core"
 	"taco/internal/formula"
 	"taco/internal/ref"
 )
@@ -13,24 +12,26 @@ import (
 // This file implements the vectorized pattern-run drain: inside one
 // wavefront level, contiguous rows of a column whose cells share one
 // compiled program (modulo relative offsets) are evaluated as a single
-// batched sweep instead of per-cell dispatch. The sharing is exactly what
-// the TACO graph's pattern/RR-Chain edges record — a compressed dependent
-// run is a set of cells with one formula shape — so run detection is keyed
-// on the canonical compile cache (shifted copies of a formula intern to one
-// *Program; membership is pointer equality) and, when the graph supports it,
-// pre-filtered by the compressed edges' dependent spans (patternSpanner).
+// batched sweep instead of per-cell dispatch. Run detection is program
+// identity alone: shifted copies of a formula intern to one *Program in the
+// canonical compile cache, so a run is a maximal chain of contiguous rows
+// whose cells hold the same pointer — exactly the cells a TACO pattern edge
+// would compress, found without consulting the graph, on any backend.
 //
-// The sweep itself plans one cursor per compiled cell operand: a row-fixed
-// operand ($-anchored row) resolves to one position for the whole run and is
-// read once; a relative-row operand advances down a columnar slab window one
-// row per evaluated cell, foldRange-style, so the inner loop touches no maps
-// and re-resolves nothing. Range operands and call dispatch still go through
-// the ordinary resolver — folds keep their own batched paths. Every value a
-// run reads is settled by the level barrier (that is what a level is), so
-// the sweep reads exactly what per-cell evaluation against the read-only
-// valueResolver would read, and results — including error values and
-// #CYCLE! propagated from earlier levels — are bit-identical to the serial
-// AST path.
+// The sweep plans one cursor per compiled cell operand: a row-fixed operand
+// ($-anchored row) resolves to one position for the whole run and is read
+// once; a relative-row operand advances down a columnar slab window one row
+// per evaluated cell, so the inner loop touches no maps and re-resolves
+// nothing. Range operands go through the run's fold memo (runFolds), the
+// compressed edge turned into a unit of work: an FF range (the same fixed
+// rectangle on every row) is folded once and reused, and an FR range (fixed
+// head, tail one row further down per cell, the running total) continues
+// the previous row's fold over the new rows only — O(n) for the whole run
+// instead of O(n²). Every value a run reads is settled by the level barrier
+// (that is what a level is), so the sweep reads exactly what per-cell
+// evaluation against the read-only valueResolver would read, and results —
+// including error values and #CYCLE! propagated from earlier levels — are
+// bit-identical to the serial AST path.
 
 // minPatternRun is the run length below which the batched sweep is not
 // attempted: planning cursors for a handful of cells costs more than
@@ -47,11 +48,10 @@ type levelRun struct {
 // levelPlan is one level's cached pattern-run partition. A schedule's level
 // sequence is a pure function of its nodes and links, so when a warm-reused
 // schedule replays the same frontier sequence, the partitions computed on
-// the first drain replay too — run detection (the sort filter, program
-// interning probes, span coverage) runs once per schedule, not once per
-// drain. Validity is checked by exact level equality, so a drain whose
-// budget splits levels differently simply recomputes from the first
-// mismatch (see replayPlan).
+// the first drain replay too — run detection (the sort filter and program
+// interning probes) runs once per schedule, not once per drain. Validity is
+// checked by exact level equality, so a drain whose budget splits levels
+// differently simply recomputes from the first mismatch (see replayPlan).
 type levelPlan struct {
 	level   []int32
 	runs    []levelRun
@@ -95,11 +95,10 @@ func (sch *schedule) recordPlan(level []int32, runs []levelRun, singles []int32)
 // planLevel partitions one wavefront level into pattern runs and leftover
 // singles. Cells are sorted by (column, row); a maximal chain of contiguous
 // rows whose cells intern to the same compiled program becomes a run if it
-// is long enough and — when the graph tracks pattern compression — its whole
-// extent is covered by compressed dependent spans. Everything else (value
-// cells, uncompilable formulas, broken/short chains) stays per-cell. The
-// returned slices index into nodes; the level itself is not reordered, so
-// the caller's publish loop is unaffected.
+// is long enough. Everything else (value cells, uncompilable formulas,
+// broken/short chains) stays per-cell. The returned slices index into
+// nodes; the level itself is not reordered, so the caller's publish loop is
+// unaffected.
 func (e *Engine) planLevel(nodes []schedNode, level []int32) (runs []levelRun, singles []int32) {
 	var sorted []int32
 	if sch := e.sched; sch != nil && len(sch.order) == len(nodes) {
@@ -137,8 +136,6 @@ func (e *Engine) planLevel(nodes []schedNode, level []int32) (runs []levelRun, s
 			return na.Row - nb.Row
 		})
 	}
-	sp, hasSp := e.graph.(patternSpanner)
-	var cover []bool
 	i := 0
 	for i < len(sorted) {
 		n := &nodes[sorted[i]]
@@ -160,9 +157,7 @@ func (e *Engine) planLevel(nodes []schedNode, level []int32) (runs []levelRun, s
 			}
 			j++
 		}
-		lastRow := nodes[sorted[j-1]].at.Row
-		if j-i >= minPatternRun &&
-			(!hasSp || e.spanCovered(sp, n.at.Col, n.at.Row, lastRow, &cover)) {
+		if j-i >= minPatternRun {
 			runs = append(runs, levelRun{prog: p, nodes: sorted[i:j]})
 		} else {
 			singles = append(singles, sorted[i:j]...)
@@ -172,33 +167,50 @@ func (e *Engine) planLevel(nodes []schedNode, level []int32) (runs []levelRun, s
 	return runs, singles
 }
 
-// spanCovered reports whether every row of col[rowLo..rowHi] lies inside
-// some compressed (non-Single) dependent span — the graph's own evidence
-// that these cells share a formula shape. Spans from different edges may
-// each cover part of the run (one edge per reference, clipped by partial
-// dirty sets), so coverage is a union, tracked in the reusable scratch.
-func (e *Engine) spanCovered(sp patternSpanner, col, rowLo, rowHi int, scratch *[]bool) bool {
-	n := rowHi - rowLo + 1
-	buf := *scratch
-	if cap(buf) < n {
-		buf = make([]bool, n)
-	} else {
-		buf = buf[:n]
-		clear(buf)
+// runFolds is one run's fold memo, the formula.RangeFolder its cells
+// evaluate against: the read-only valueResolver plus one remembered fold per
+// range operand. Operands are keyed by their ordinal among the fold calls of
+// one cell's evaluation (k, reset per cell), which for a single program is
+// the same operand on every row. A remembered fold is reused when the
+// operand asks for the same rectangle again (FF), and extended when it asks
+// for the same head and columns with a tail further down (FR): rows ascend
+// through a run, and foldFrom's continuation is bit-identical to a fresh
+// fold. Any other request (a sliding RR window, a branch that skipped an
+// operand) folds fresh and replaces the entry, so the memo is only ever a
+// shortcut, never a different answer. Ranges read by a run are settled for
+// the whole level, so nothing remembered can go stale mid-run.
+type runFolds struct {
+	valueResolver
+	memo []foldMemo
+	k    int
+}
+
+// foldMemo is one operand's remembered fold: when held, f summarises rng.
+type foldMemo struct {
+	rng  ref.Range
+	f    formula.NumericFold
+	held bool
+}
+
+// FoldRange implements formula.RangeFolder through the memo.
+func (r *runFolds) FoldRange(rng ref.Range) (formula.NumericFold, bool) {
+	if r.k == len(r.memo) {
+		r.memo = append(r.memo, foldMemo{})
 	}
-	*scratch = buf
-	covered := 0
-	r := ref.Range{Head: ref.Ref{Col: col, Row: rowLo}, Tail: ref.Ref{Col: col, Row: rowHi}}
-	sp.PatternRunSpans(r, func(span ref.Range, _ core.PatternType) bool {
-		for row := span.Head.Row; row <= span.Tail.Row; row++ {
-			if !buf[row-rowLo] {
-				buf[row-rowLo] = true
-				covered++
-			}
+	m := &r.memo[r.k]
+	r.k++
+	if m.held && m.rng.Head == rng.Head && m.rng.Tail.Col == rng.Tail.Col && m.rng.Tail.Row <= rng.Tail.Row {
+		if m.rng.Tail.Row < rng.Tail.Row {
+			more := ref.Range{Head: ref.Ref{Col: rng.Head.Col, Row: m.rng.Tail.Row + 1}, Tail: rng.Tail}
+			// Same columns as the held fold, so the cursor merge takes it.
+			m.f, _ = r.e.store.foldFrom(m.f, more, nil)
+			m.rng = rng
 		}
-		return covered < n
-	})
-	return covered == n
+		return m.f, true
+	}
+	f, ok := r.e.store.foldRange(rng, nil)
+	*m = foldMemo{rng: rng, f: f, held: ok}
+	return f, ok
 }
 
 // runCursor feeds one compiled cell operand during a sweep: a row-fixed
@@ -224,7 +236,7 @@ const (
 // clean flag are written exactly once, same as evalLevelCell.
 func (e *Engine) executeRun(nodes []schedNode, r *levelRun) {
 	p := r.prog
-	res := valueResolver{e}
+	res := &runFolds{valueResolver: valueResolver{e}}
 	anchor0 := nodes[r.nodes[0]].at
 	n := len(r.nodes)
 	ops := p.CellOps()
@@ -285,6 +297,7 @@ func (e *Engine) executeRun(nodes []schedNode, r *levelRun) {
 					continue
 				}
 			}
+			res.k = 0
 			nd.c.value = p.EvalCells(res, nd.at, read)
 			nd.c.dirty = false
 		}
@@ -292,6 +305,7 @@ func (e *Engine) executeRun(nodes []schedNode, r *levelRun) {
 	}
 	for _, ni := range r.nodes {
 		nd := &nodes[ni]
+		res.k = 0
 		nd.c.value = p.EvalCells(res, nd.at, read)
 		nd.c.dirty = false
 	}

@@ -3,11 +3,13 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"taco/internal/formula"
 	"taco/internal/nocomp"
 	"taco/internal/ref"
+	"taco/internal/workload"
 )
 
 // runsFixture builds an engine whose dirty set holds the given formula
@@ -134,15 +136,12 @@ func TestPlanLevelReversedLoad(t *testing.T) {
 	}
 }
 
-// TestPlanLevelNoCompFallback: a graph without pattern spans still detects
-// runs structurally, via interned-program equality alone.
+// TestPlanLevelNoCompFallback: detection is interned-program equality
+// alone, so an uncompressed graph finds the same runs a TACO graph does.
 func TestPlanLevelNoCompFallback(t *testing.T) {
 	e := runsFixture(t, NoComp{G: nocomp.NewGraph()}, 30, func(r int) (string, string) {
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+B%d", r, r)
 	})
-	if _, ok := e.graph.(patternSpanner); ok {
-		t.Fatal("fixture graph unexpectedly implements patternSpanner")
-	}
 	runs, _ := planFixture(e)
 	if len(runs) != 1 || len(runs[0].nodes) != 30 {
 		t.Fatalf("structural fallback found %d runs", len(runs))
@@ -331,4 +330,92 @@ func TestSetPatternRunsToggle(t *testing.T) {
 			t.Fatalf("C%d = %v, want %v", r, got, want)
 		}
 	}
+}
+
+// TestRunFoldsMatchFreshFolds: the run memo's reused and extended folds are
+// bit-identical to a fresh fold of the same range, whatever the operand mix
+// (text, blanks, errors, -0, ±Inf, NaN) and whatever order operands ask in —
+// including two operands sharing a head, a sliding window that never
+// extends, and a multi-column rectangle.
+func TestRunFoldsMatchFreshFolds(t *testing.T) {
+	e := New(nil)
+	specials := map[int]formula.Value{
+		3:  formula.Str("x"),
+		5:  formula.Num(math.Copysign(0, -1)),
+		8:  formula.Empty(),
+		11: formula.Boolean(false),
+		17: formula.Num(math.Inf(1)),
+		23: formula.Errorf("#DIV/0!"),
+		29: formula.Num(math.Inf(-1)),
+		31: formula.Num(math.NaN()),
+	}
+	for r := 1; r <= 60; r++ {
+		if r%7 == 0 {
+			continue // unpopulated
+		}
+		v, ok := specials[r]
+		if !ok {
+			v = formula.Num(float64(r%9) * 0.1)
+		}
+		e.SetValue(ref.Ref{Col: 1, Row: r}, v)
+		e.SetValue(ref.Ref{Col: 2, Row: r}, formula.Num(float64(r)/3))
+	}
+	same := func(a, b formula.NumericFold) bool {
+		return math.Float64bits(a.Sum) == math.Float64bits(b.Sum) && a.Count == b.Count &&
+			a.NonEmpty == b.NonEmpty && math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
+			math.Float64bits(a.Max) == math.Float64bits(b.Max) && a.Err == b.Err
+	}
+	rf := &runFolds{valueResolver: valueResolver{e}}
+	for row := 1; row <= 60; row++ {
+		rf.k = 0
+		for _, rng := range []ref.Range{
+			{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 1, Row: row}},            // FR
+			{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 1, Row: min(60, row+5)}}, // FR, same head
+			{Head: ref.Ref{Col: 1, Row: 2}, Tail: ref.Ref{Col: 1, Row: 40}},             // FF
+			{Head: ref.Ref{Col: 1, Row: row}, Tail: ref.Ref{Col: 1, Row: row + 3}},      // RR
+			{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 2, Row: row}},            // FR rectangle
+		} {
+			got, ok := rf.FoldRange(rng)
+			want, wok := e.store.foldRange(rng, nil)
+			if ok != wok || !same(got, want) {
+				t.Fatalf("row %d, %v: memo %+v (%v), fresh %+v (%v)", row, rng, got, ok, want, wok)
+			}
+		}
+	}
+}
+
+// TestRewriteKeepsFinancialPatternRun: rewriting one running-total cell of
+// a financial sheet with its own formula must not knock the column out of
+// the run drain — the next edit still drains all of E as one pattern run,
+// and every value matches the serial oracle.
+func TestRewriteKeepsFinancialPatternRun(t *testing.T) {
+	sheet := workload.FinancialModel(100, rand.New(rand.NewSource(3)))
+	vec, err := Load(sheet, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := Load(sheet, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec.SetRecalcParallelism(2)
+	e99 := ref.MustCell("E99")
+	for _, e := range []*Engine{vec, oracle} {
+		mustFormula(t, e, "E99", e.Formula(e99))
+		e.RecalculateAll()
+		e.SetValue(ref.MustCell("B1"), formula.Num(4321))
+	}
+	before := mPatternRunCells.Value()
+	vec.RecalculateAll()
+	if ran := mPatternRunCells.Value() - before; ran < 100 {
+		t.Errorf("%d cells drained in pattern runs, want the 100-row E column among them", ran)
+	}
+	oracle.RecalculateAll()
+	all := ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 8, Row: 100}}
+	oracle.ScanRange(all, func(at ref.Ref, want formula.Value, _ string, _ bool) bool {
+		if got := vec.Value(at); got != want {
+			t.Errorf("%v: vectorized=%v serial=%v", at, got, want)
+		}
+		return true
+	})
 }

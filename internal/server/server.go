@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -249,10 +250,20 @@ type errorBody struct {
 // Handlers
 // ---------------------------------------------------------------------------
 
+// writeJSON encodes v before committing the status line, so a body the
+// encoder rejects answers 500 with an error body instead of the intended
+// status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bufPool.Put(buf) }()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(buf).Encode(errorBody{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -789,6 +800,12 @@ func cellOut(at ref.Ref, v formula.Value, src string, pending bool) CellOut {
 	case formula.KindEmpty:
 		c.Kind = "empty"
 	case formula.KindNumber:
+		if math.IsInf(v.Num, 0) || math.IsNaN(v.Num) {
+			// JSON has no non-finite numbers; serve what Excel shows on
+			// overflow.
+			c.Kind, c.Error = "error", "#NUM!"
+			break
+		}
 		c.Kind, c.Num = "number", v.Num
 	case formula.KindString:
 		c.Kind, c.Str = "string", v.Str

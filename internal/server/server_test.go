@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -328,5 +329,43 @@ func TestListAndStoreStats(t *testing.T) {
 	tc.do("GET", "/stats", nil, &st)
 	if st.Sessions != 3 || st.Resident != 3 || st.Spilled != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestNonFiniteCellReadsAsNumError: an edit that overflows a planning
+// sheet's budget chain to +Inf must still read back as a well-formed JSON
+// body — the overflowed cells as the #NUM! error — not 200 with an empty
+// body.
+func TestNonFiniteCellReadsAsNumError(t *testing.T) {
+	_, tc := newTestServer(t, Options{})
+	var info SessionInfo
+	if code := tc.do("POST", "/sessions", CreateRequest{Scenario: "planning", Rows: 100, Seed: 5}, &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	var res EditResult
+	if code := tc.do("POST", "/sessions/"+info.ID+"/edits?wait=1",
+		EditBatch{Edits: []EditOp{{Cell: "CX1", Value: num(9000)}}}, &res); code != http.StatusOK {
+		t.Fatalf("edit: status %d", code)
+	}
+	var cells CellsResult
+	if code := tc.do("GET", "/sessions/"+info.ID+"/cells?at=CV3", nil, &cells); code != http.StatusOK {
+		t.Fatalf("read: status %d", code)
+	}
+	if len(cells.Cells) != 1 || cells.Cells[0].Kind != "error" || cells.Cells[0].Error != "#NUM!" {
+		t.Fatalf("CV3 = %+v, want the #NUM! error", cells.Cells)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a body the encoder rejects answers 500 with
+// an error body, never the intended status with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
 	}
 }
